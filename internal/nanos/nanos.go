@@ -10,10 +10,11 @@
 package nanos
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
+	"repro/internal/queue"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -126,28 +127,37 @@ type event struct {
 	task int32 // evWorkerDone
 }
 
-type evHeap []event
-
-func (h evHeap) Len() int { return len(h) }
-func (h evHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Less orders events by time, then by scheduling order.
+func (a event) Less(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *evHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *evHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// nextEvent reports the timestamp of the earliest queued event — the
-// run's horizon, the software-runtime counterpart of picos.NextEvent.
-// The runtime model is inherently event-driven, so sim.Spec's
-// FastForward knob has nothing to switch here.
-func (h evHeap) nextEvent() (uint64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
+// eventLoop is the discrete-event core Run and RunSource share: the
+// event queue and the global runtime lock. The model is inherently
+// event-driven — the head of the queue is the run's horizon — so
+// sim.Spec's FastForward knob has nothing to switch here.
+type eventLoop struct {
+	events   queue.Heap[event]
+	seq      uint64
+	lockFree uint64 // cycle the runtime lock next comes free
+	lockBusy uint64 // total cycles the lock was held
+}
+
+func (l *eventLoop) push(at uint64, kind evKind, who int, task int32) {
+	l.seq++
+	l.events.Push(event{at: at, seq: l.seq, kind: kind, who: who, task: task})
+}
+
+// acquire serializes an in-lock section of duration hold (already
+// contention-inflated by the caller) starting no earlier than at, and
+// returns the section's end time.
+func (l *eventLoop) acquire(at, hold uint64) uint64 {
+	l.lockFree = max(l.lockFree, at) + hold
+	l.lockBusy += hold
+	return l.lockFree
 }
 
 // runScratch is the per-run working state of the discrete-event loop,
@@ -158,7 +168,7 @@ func (h evHeap) nextEvent() (uint64, bool) {
 type runScratch struct {
 	remaining []int32 // unfinished predecessors
 	submitted []bool
-	events    evHeap
+	loop      eventLoop
 	pool      sched.Pool[struct{}] // ready tasks + parked workers
 }
 
@@ -166,17 +176,10 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // grab sizes the scratch for n tasks, reusing capacity where possible.
 func (s *runScratch) grab(n int) {
-	if cap(s.remaining) < n {
-		s.remaining = make([]int32, n)
-		s.submitted = make([]bool, n)
-	} else {
-		s.remaining = s.remaining[:n]
-		s.submitted = s.submitted[:n]
-		for i := range s.submitted {
-			s.submitted[i] = false
-		}
-	}
-	s.events = s.events[:0]
+	s.remaining = slices.Grow(s.remaining[:0], n)[:n]
+	s.submitted = slices.Grow(s.submitted[:0], n)[:n]
+	clear(s.submitted)
+	s.loop = eventLoop{events: s.loop.events[:0]}
 }
 
 // Run simulates the software-only runtime on the trace.
@@ -241,34 +244,13 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	pool.Reset(classes, cfg.Sched, cfg.Steal, tr.Kinds, prio)
 
 	var (
-		seq      uint64
-		lockFree uint64
 		created  int // tasks created by the master so far
 		finished int
 	)
-	events := s.events
-	defer func() {
-		// Hand the (possibly grown) buffers back to the pool, emptied —
-		// error paths included.
-		s.events = events[:0]
-		scratchPool.Put(s)
-	}()
-	push := func(at uint64, kind evKind, who int, task int32) {
-		seq++
-		heap.Push(&events, event{at: at, seq: seq, kind: kind, who: who, task: task})
-	}
-
-	// acquireLock serializes an in-lock section of base duration `hold`
-	// (already contention-inflated by the caller) starting no earlier
-	// than `at`; returns the section's end time.
-	acquireLock := func(at, hold uint64) uint64 {
-		if lockFree > at {
-			at = lockFree
-		}
-		lockFree = at + hold
-		res.LockBusy += hold
-		return lockFree
-	}
+	loop := &s.loop
+	// Hand the (possibly grown) buffers back to the pool — error paths
+	// included.
+	defer scratchPool.Put(s)
 
 	// The master starts creating the first task at cycle 0; workers park
 	// idle.
@@ -279,7 +261,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 		return c
 	}
-	push(createCost(0), evMasterCreate, -1, 0)
+	loop.push(createCost(0), evMasterCreate, -1, 0)
 	for w := 0; w < cfg.Workers; w++ {
 		pool.Park(w)
 	}
@@ -290,31 +272,27 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		kind := tr.Tasks[t].Kind
 		pool.Enqueue(uint32(t), kind, struct{}{})
 		if w, ok := pool.WakeEligible(kind); ok {
-			push(at, evWorkerIdle, w, -1)
+			loop.push(at, evWorkerIdle, w, -1)
 		}
 	}
 
-	for {
-		horizon, ok := events.nextEvent()
-		if !ok {
-			break
-		}
-		if horizon > cfg.Watchdog {
+	for loop.events.Len() > 0 {
+		if horizon := loop.events[0].at; horizon > cfg.Watchdog {
 			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d/%d finished)", horizon, finished, n)
 		}
-		ev := heap.Pop(&events).(event)
+		ev := loop.events.Pop()
 		switch ev.kind {
 		case evMasterCreate:
 			t := int32(ev.task)
 			hold := tm.inflate(tm.SubmitBase+uint64(len(tr.Tasks[t].Deps))*tm.SubmitPerDep, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			submitted[t] = true
 			created++
 			if remaining[t] == 0 {
 				markReady(t, end)
 			}
 			if created < n {
-				push(end+createCost(created), evMasterCreate, -1, int32(created))
+				loop.push(end+createCost(created), evMasterCreate, -1, int32(created))
 			}
 		case evWorkerIdle:
 			if !pool.CanTake(ev.who) {
@@ -324,23 +302,23 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 				continue
 			}
 			hold := tm.inflate(tm.PopHold, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			it, _ := pool.TakeFor(ev.who)
 			t := int32(it.ID)
 			res.Start[t] = end
 			res.Finish[t] = end + pool.Scale(ev.who, g.Durations[t])
-			push(res.Finish[t], evWorkerDone, ev.who, t)
+			loop.push(res.Finish[t], evWorkerDone, ev.who, t)
 			// If more work remains visible, wake another idle worker that
 			// can take it.
 			if pool.Len() > 0 {
 				if w, ok := pool.WakeAny(); ok {
-					push(end, evWorkerIdle, w, -1)
+					loop.push(end, evWorkerIdle, w, -1)
 				}
 			}
 		case evWorkerDone:
 			t := ev.task
 			hold := tm.inflate(tm.ReleaseBase+uint64(len(tr.Tasks[t].Deps))*tm.ReleasePerDep, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			finished++
 			for _, s := range g.Succ[t] {
 				remaining[s]--
@@ -349,13 +327,14 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 				}
 			}
 			// This worker looks for more work immediately.
-			push(end, evWorkerIdle, ev.who, -1)
+			loop.push(end, evWorkerIdle, ev.who, -1)
 		}
 	}
 
 	if finished != n {
 		return nil, fmt.Errorf("nanos: only %d/%d tasks finished (scheduler wedge)", finished, n)
 	}
+	res.LockBusy = loop.lockBusy
 	for _, f := range res.Finish {
 		if f > res.Makespan {
 			res.Makespan = f

@@ -1,7 +1,6 @@
 package nanos
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -113,9 +112,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 	live := make(map[int32]*nodeState, cfg.Window)
 
 	var (
-		events   evHeap
-		seq      uint64
-		lockFree uint64
+		loop     eventLoop
 		fetched  int // tasks pulled off the stream so far
 		finished int
 		srcDone  bool
@@ -134,18 +131,6 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		started   int
 	)
 
-	push := func(at uint64, kind evKind, who int, task int32) {
-		seq++
-		heap.Push(&events, event{at: at, seq: seq, kind: kind, who: who, task: task})
-	}
-	acquireLock := func(at, hold uint64) uint64 {
-		if lockFree > at {
-			at = lockFree
-		}
-		lockFree = at + hold
-		res.LockBusy += hold
-		return lockFree
-	}
 	// armCreate pulls the next descriptor and schedules its creation
 	// event, provided the stream has one, the window has room and no
 	// pull is already in flight. Returns false on stream exhaustion.
@@ -171,14 +156,14 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		if c == 0 {
 			c = tm.Create
 		}
-		push(at+c, evMasterCreate, -1, int32(t.ID))
+		loop.push(at+c, evMasterCreate, -1, int32(t.ID))
 		return true, nil
 	}
 	markReady := func(t int32, at uint64) {
 		kind := live[t].kind
 		pool.Enqueue(uint32(t), kind, struct{}{})
 		if w, ok := pool.WakeEligible(kind); ok {
-			push(at, evWorkerIdle, w, -1)
+			loop.push(at, evWorkerIdle, w, -1)
 		}
 	}
 
@@ -189,15 +174,11 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		pool.Park(w)
 	}
 
-	for {
-		horizon, ok := events.nextEvent()
-		if !ok {
-			break
-		}
-		if horizon > cfg.Watchdog {
+	for loop.events.Len() > 0 {
+		if horizon := loop.events[0].at; horizon > cfg.Watchdog {
 			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, len(live))
 		}
-		ev := heap.Pop(&events).(event)
+		ev := loop.events.Pop()
 		switch ev.kind {
 		case evMasterCreate:
 			t := ev.task
@@ -216,7 +197,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 			}
 			live[t] = nd
 			hold := tm.inflate(tm.SubmitBase+uint64(nd.ndeps)*tm.SubmitPerDep, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			if nd.remaining == 0 {
 				markReady(t, end)
 			}
@@ -229,7 +210,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 				continue
 			}
 			hold := tm.inflate(tm.PopHold, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			it, _ := pool.TakeFor(ev.who)
 			t := int32(it.ID)
 			if !firstSet || end < first {
@@ -240,17 +221,17 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 			}
 			started++
 			fin := end + pool.Scale(ev.who, live[t].dur)
-			push(fin, evWorkerDone, ev.who, t)
+			loop.push(fin, evWorkerDone, ev.who, t)
 			if pool.Len() > 0 {
 				if w, ok := pool.WakeAny(); ok {
-					push(end, evWorkerIdle, w, -1)
+					loop.push(end, evWorkerIdle, w, -1)
 				}
 			}
 		case evWorkerDone:
 			t := ev.task
 			nd := live[t]
 			hold := tm.inflate(tm.ReleaseBase+uint64(nd.ndeps)*tm.ReleasePerDep, threads)
-			end := acquireLock(ev.at, hold)
+			end := loop.acquire(ev.at, hold)
 			finished++
 			if ev.at > res.Makespan {
 				res.Makespan = ev.at
@@ -268,13 +249,14 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 					return nil, err
 				}
 			}
-			push(end, evWorkerIdle, ev.who, -1)
+			loop.push(end, evWorkerIdle, ev.who, -1)
 		}
 	}
 
 	if len(live) > 0 || pendingOK || !srcDone {
 		return nil, fmt.Errorf("nanos: stream stalled with %d live tasks after %d finished (scheduler wedge)", len(live), finished)
 	}
+	res.LockBusy = loop.lockBusy
 	if res.Baseline == 0 {
 		res.Baseline = src.SerialCycles() + aggDur
 	}

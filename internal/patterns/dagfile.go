@@ -1,7 +1,6 @@
 package patterns
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,17 +8,16 @@ import (
 	"strings"
 	"unicode"
 
+	"repro/internal/queue"
 	"repro/internal/trace"
 )
 
-// intMinHeap is the Kahn frontier: a plain min-heap of node indices.
-type intMinHeap []int
+// nodeIdx is a node index on the Kahn frontier, a min-heap on
+// declaration order.
+type nodeIdx int
 
-func (h intMinHeap) Len() int           { return len(h) }
-func (h intMinHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intMinHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intMinHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// Less orders frontier nodes by declaration index.
+func (a nodeIdx) Less(b nodeIdx) bool { return a < b }
 
 // The dagfile family replays an arbitrary task graph from a file, so
 // measured applications (or graphs exported by other runtimes) can be
@@ -343,19 +341,19 @@ func dagTrace(nodes []dagNode) (*trace.Trace, error) {
 	// order deterministic and as close to declaration order as the
 	// edges allow, in O(n log n) even for graphs that are one wide
 	// frontier (the node cap permits millions of nodes).
-	frontier := &intMinHeap{}
+	var frontier queue.Heap[nodeIdx]
 	for i := range nodes {
 		if indeg[i] == 0 {
-			heap.Push(frontier, i)
+			frontier.Push(nodeIdx(i))
 		}
 	}
 	order := make([]int, 0, len(nodes))
 	for frontier.Len() > 0 {
-		n := heap.Pop(frontier).(int)
+		n := int(frontier.Pop())
 		order = append(order, n)
 		for _, s := range succs[n] {
 			if indeg[s]--; indeg[s] == 0 {
-				heap.Push(frontier, s)
+				frontier.Push(nodeIdx(s))
 			}
 		}
 	}

@@ -5,10 +5,11 @@
 package perfect
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
+	"repro/internal/queue"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -24,31 +25,26 @@ type Result struct {
 	Finish   []uint64
 }
 
-// runHeap orders running tasks by finish time.
-type runHeap []runItem
+// settle derives the makespan and speedup from the (non-empty) finish
+// times.
+func (r *Result) settle() {
+	r.Makespan = slices.Max(r.Finish)
+	if r.Makespan > 0 {
+		r.Speedup = float64(r.Baseline) / float64(r.Makespan)
+	}
+}
 
+// runItem is one running task. The run queue orders items by finish
+// time alone; items that tie pop in queue.Heap's sift order, which the
+// schedule (the order successors become ready) depends on.
 type runItem struct {
 	finish uint64
 	task   int32
 	worker int32 // heterogeneous path only; 0 on the homogeneous path
 }
 
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return h[i].finish < h[j].finish }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.(runItem)) }
-func (h *runHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// nextEvent reports the cycle of the earliest in-flight completion —
-// the run's event horizon, the perfect-scheduler counterpart of
-// picos.NextEvent. The roofline scheduler is inherently event-driven,
-// so sim.Spec's FastForward knob has nothing to switch here.
-func (h runHeap) nextEvent() (uint64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].finish, true
-}
+// Less orders running tasks by finish time.
+func (a runItem) Less(b runItem) bool { return a.finish < b.finish }
 
 // runScratch is the per-run working state of the list scheduler, pooled
 // across runs so steady-state sweeps re-simulate without reallocating
@@ -57,18 +53,14 @@ func (h runHeap) nextEvent() (uint64, bool) {
 type runScratch struct {
 	remaining []int32
 	ready     []int32
-	running   runHeap
+	running   queue.Heap[runItem]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // grab sizes the scratch for n tasks, reusing capacity where possible.
 func (s *runScratch) grab(n int) {
-	if cap(s.remaining) < n {
-		s.remaining = make([]int32, n)
-	} else {
-		s.remaining = s.remaining[:n]
-	}
+	s.remaining = slices.Grow(s.remaining[:0], n)[:n]
 	s.ready = s.ready[:0]
 	s.running = s.running[:0]
 }
@@ -123,23 +115,22 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 			readyHead++
 			res.Start[t] = now
 			res.Finish[t] = now + g.Durations[t]
-			heap.Push(running, runItem{finish: res.Finish[t], task: t})
+			running.Push(runItem{finish: res.Finish[t], task: t})
 			free--
 			scheduled++
 		}
-		next, ok := running.nextEvent()
-		if !ok {
+		if running.Len() == 0 {
 			if readyHead >= len(ready) && scheduled < n {
 				return nil, fmt.Errorf("perfect: dependence cycle detected at %d/%d tasks", scheduled, n)
 			}
 			continue
 		}
 		// Advance to the next completion horizon (batch all at the same
-		// cycle).
-		now = next
-		it := heap.Pop(running).(runItem)
-		complete := func(t int32) {
-			for _, s := range g.Succ[t] {
+		// cycle). The roofline scheduler is inherently event-driven, so
+		// sim.Spec's FastForward knob has nothing to switch here.
+		now = (*running)[0].finish
+		for running.Len() > 0 && (*running)[0].finish == now {
+			for _, s := range g.Succ[running.Pop().task] {
 				remaining[s]--
 				if remaining[s] == 0 {
 					ready = append(ready, s)
@@ -147,20 +138,9 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 			}
 			free++
 		}
-		complete(it.task)
-		for running.Len() > 0 && (*running)[0].finish == now {
-			complete(heap.Pop(running).(runItem).task)
-		}
 	}
 
-	for _, f := range res.Finish {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
-	}
-	if res.Makespan > 0 {
-		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
-	}
+	res.settle()
 	return res, nil
 }
 
@@ -330,7 +310,7 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 			insert(int32(i))
 		}
 	}
-	var running runHeap
+	var running queue.Heap[runItem]
 	now := uint64(0)
 	scheduled := 0
 
@@ -348,19 +328,19 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 			dur := classes.Scale(int(classOf[wi]), g.Durations[t])
 			res.Start[t] = now
 			res.Finish[t] = now + dur
-			heap.Push(&running, runItem{finish: res.Finish[t], task: t, worker: int32(wi)})
+			running.Push(runItem{finish: res.Finish[t], task: t, worker: int32(wi)})
 			scheduled++
 		}
 		ready = kept
-		next, ok := running.nextEvent()
-		if !ok {
+		if running.Len() == 0 {
 			if scheduled < n {
 				return nil, fmt.Errorf("perfect: dependence cycle detected at %d/%d tasks", scheduled, n)
 			}
 			continue
 		}
-		now = next
-		complete := func(it runItem) {
+		now = running[0].finish
+		for running.Len() > 0 && running[0].finish == now {
+			it := running.Pop()
 			for _, s := range g.Succ[it.task] {
 				remaining[s]--
 				if remaining[s] == 0 {
@@ -369,19 +349,8 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 			}
 			idle[classOf[it.worker]].Push(int(it.worker))
 		}
-		complete(heap.Pop(&running).(runItem))
-		for running.Len() > 0 && running[0].finish == now {
-			complete(heap.Pop(&running).(runItem))
-		}
 	}
 
-	for _, f := range res.Finish {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
-	}
-	if res.Makespan > 0 {
-		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
-	}
+	res.settle()
 	return res, nil
 }

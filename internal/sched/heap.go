@@ -1,9 +1,10 @@
 package sched
 
 // Small hand-rolled min-heaps for worker bookkeeping, factored out of
-// the HIL runner so every engine shares one implementation.
-// container/heap would box every element through an interface; these
-// keep dispatch and retirement allocation-free on warm runs.
+// the HIL runner so every engine shares one implementation. They stay
+// concrete rather than instances of the generic queue.Heap: they sit on
+// the accelerator loop's dispatch and retirement path, where a generic
+// Less call goes through a dictionary instead of being inlined.
 
 // IdleHeap is a min-heap of worker indices: the idle-worker freelist,
 // popping the lowest index first to match the reference loop's linear

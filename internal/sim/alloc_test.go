@@ -42,3 +42,41 @@ func TestWarmRunTraceAllocs(t *testing.T) {
 		t.Errorf("warm RunTrace allocates %.1f times per run; lock is %d", avg, maxWarmRunTraceAllocs)
 	}
 }
+
+// maxWarmSoftwareAllocs bounds a warm sim.RunTrace iteration on the
+// software-runtime and roofline engines, whatever the task count: the
+// dependence graph (a constant number of arrays), the Result and its
+// Start/Finish schedule, and the few per-run slices sized by the kind
+// table or worker count. The event queues and per-task bookkeeping are
+// pool-reused.
+const maxWarmSoftwareAllocs = 24
+
+// TestWarmSoftwareRunTraceAllocs locks the steady-state allocation
+// count of nanos and perfect runs to a bound independent of the trace
+// size: a 100-task synthetic case and an ~11k-task application trace
+// must both stay under it.
+func TestWarmSoftwareRunTraceAllocs(t *testing.T) {
+	for _, wl := range []struct {
+		workload string
+		block    int
+	}{{"case4", 0}, {"sparselu", 32}} {
+		for _, engine := range []string{"nanos", "perfect"} {
+			spec := sim.Spec{Engine: engine, Workload: wl.workload, Block: wl.block}.WithDefaults()
+			tr, err := sim.BuildWorkload(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if _, err := sim.RunTrace(tr, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the engine and analysis pools
+			run()
+			if avg := testing.AllocsPerRun(10, run); avg > maxWarmSoftwareAllocs {
+				t.Errorf("warm %s RunTrace on %s (%d tasks) allocates %.1f times per run; lock is %d",
+					engine, wl.workload, len(tr.Tasks), avg, maxWarmSoftwareAllocs)
+			}
+		}
+	}
+}

@@ -1,57 +1,75 @@
 package taskgraph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
 
-// Incremental performs the same dependence analysis as Build one task at
-// a time, for streaming consumers that never hold the whole trace: feed
-// tasks in creation order and Preds returns each task's deduplicated
-// predecessor list — exactly Build's g.Pred entry for that index (the
-// differential test in stream_test.go enforces it).
+// Incremental is the dependence analysis, one task at a time: feed tasks
+// in creation order and Preds returns each task's deduplicated,
+// ascending predecessor list. Streaming consumers that never hold the
+// whole trace use it directly; Build folds it over a whole trace.
 //
-// Memory grows with the number of *distinct dependence addresses*, not
-// with the number of tasks: per address the analysis keeps the last
-// writer and the readers since that writer, which is the irreducible
-// state of OmpSs dependence semantics (any future task may still name
-// the address). Grid patterns touch O(width) addresses, so unbounded
-// replays stay bounded; fresh-address families inherently grow it.
+// Memory grows with the number of *distinct dependence addresses* and
+// the readers live on them, not with the number of tasks. Per address
+// the analysis keeps the last writer and the readers since that writer,
+// which is the irreducible state of OmpSs dependence semantics (any
+// future task may still name the address). Reader lists are linked
+// nodes drawn from one pooled slab: a writer returns its address's
+// readers to the free list as it walks them for WAR edges, so the slab
+// stays as large as the most readers ever live at once. Grid patterns
+// touch O(width) addresses, so unbounded replays stay bounded;
+// fresh-address families inherently grow it.
 type Incremental struct {
-	states  map[uint64]*addrState
+	index   map[uint64]int32 // address -> slot in states
+	states  []addrState
+	nodes   []readerNode // reader lists and the free list, linked by index
+	free    int32        // head of the free node list, -1 if empty
 	scratch []int32
 }
 
-// addrState is the per-address analysis state, shared in shape with
-// Build's local.
+// addrState is the analysis state of one address.
 type addrState struct {
-	lastWriter int32   // -1 if none
-	readers    []int32 // readers since lastWriter
+	lastWriter int32 // -1 if none
+	readers    int32 // head of the reader list since lastWriter, -1 if empty
+}
+
+// readerNode is one reader of an address, or one free slab slot.
+type readerNode struct {
+	task int32
+	next int32 // -1 ends the list
 }
 
 // NewIncremental returns an empty analysis.
 func NewIncremental() *Incremental {
-	return &Incremental{states: make(map[uint64]*addrState)}
+	return &Incremental{index: make(map[uint64]int32), free: -1}
 }
 
-// Reset empties the analysis for reuse, keeping the map's capacity.
+// Reset empties the analysis for reuse, keeping its storage.
 func (inc *Incremental) Reset() {
-	clear(inc.states)
+	clear(inc.index)
+	inc.states = inc.states[:0]
+	inc.nodes = inc.nodes[:0]
+	inc.free = -1
 }
 
 // Preds analyzes the next task (ID id, in creation order) and returns
 // its deduplicated, ascending predecessor list. The returned slice is
 // scratch owned by the Incremental — copy it if it must survive the
 // next call.
+//
+//picos:hotpath
 func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 	preds := inc.scratch[:0]
 	for _, d := range deps {
-		st := inc.states[d.Addr]
-		if st == nil {
-			st = &addrState{lastWriter: -1}
-			inc.states[d.Addr] = st
+		slot, ok := inc.index[d.Addr]
+		if !ok {
+			slot = int32(len(inc.states))
+			inc.states = append(inc.states, addrState{lastWriter: -1, readers: -1})
+			inc.index[d.Addr] = slot
 		}
+		st := &inc.states[slot]
 		if d.Dir.Reads() && st.lastWriter >= 0 {
 			preds = append(preds, st.lastWriter) // RAW
 		}
@@ -59,37 +77,32 @@ func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 			if st.lastWriter >= 0 {
 				preds = append(preds, st.lastWriter) // WAW
 			}
-			for _, r := range st.readers { // WAR
-				if r != id {
-					preds = append(preds, r)
+			for r := st.readers; r >= 0; { // WAR, freeing each reader
+				nd := &inc.nodes[r]
+				if nd.task != id {
+					preds = append(preds, nd.task)
 				}
+				next := nd.next
+				nd.next, inc.free = inc.free, r
+				r = next
 			}
-			st.lastWriter = id
-			st.readers = st.readers[:0]
-		}
-		if d.Dir.Reads() && !d.Dir.Writes() {
-			st.readers = append(st.readers, id)
+			st.lastWriter, st.readers = id, -1
+		} else if d.Dir.Reads() {
+			node := readerNode{task: id, next: st.readers}
+			if r := inc.free; r >= 0 {
+				inc.free = inc.nodes[r].next
+				inc.nodes[r] = node
+				st.readers = r
+			} else {
+				st.readers = int32(len(inc.nodes))
+				inc.nodes = append(inc.nodes, node)
+			}
 		}
 	}
-	preds = dedupeInc(preds)
+	if len(preds) > 1 {
+		slices.Sort(preds)
+		preds = slices.Compact(preds)
+	}
 	inc.scratch = preds
 	return preds
-}
-
-// dedupeInc matches Build's dedupe but keeps the backing array for
-// scratch reuse (dedupe may alias a subslice; here the caller owns the
-// buffer either way).
-func dedupeInc(xs []int32) []int32 {
-	if len(xs) <= 1 {
-		return xs
-	}
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-	w := 1
-	for _, x := range xs[1:] {
-		if x != xs[w-1] {
-			xs[w] = x
-			w++
-		}
-	}
-	return xs[:w]
 }

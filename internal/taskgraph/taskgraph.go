@@ -6,22 +6,31 @@
 //     that writer (WAR);
 //   - inout is both a reader and a writer.
 //
-// This is exactly the analysis the Nanos++ runtime performs in software
-// and the Picos DCT performs in hardware; here it serves three roles:
+// Incremental applies these rules one task at a time; Build folds it
+// over a whole trace into a Graph. This is exactly the analysis the
+// Nanos++ runtime performs in software and the Picos DCT performs in
+// hardware; here it serves three roles:
 // the *oracle* against which both simulators are verified, the input to
 // the Perfect Simulator (roofline), and the dependence engine of the
 // software-only runtime model.
 package taskgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
 
 // Graph is the task dependence DAG of a trace. Nodes are task indices in
 // creation order.
+//
+// The adjacency is stored CSR-style: every Pred row is a sub-slice of
+// one shared backing array and every Succ row of another, each clipped
+// to its own length and capacity (rows with no edges are nil). Rows are
+// read-only views — callers must not append to or write through them.
 type Graph struct {
 	// N is the number of tasks.
 	N int
@@ -34,78 +43,70 @@ type Graph struct {
 	Durations []uint64
 }
 
-// Build runs the dependence analysis over the trace.
+// buildScratch is Build's working state, pooled so a warm Build
+// allocates only the Graph it returns.
+type buildScratch struct {
+	inc     *Incremental
+	predBuf []int32 // every task's predecessors, back to back
+	predEnd []int32 // predEnd[i]: end of task i's run in predBuf
+	succCnt []int32 // succCnt[i]: number of task i's successors
+}
+
+var buildPool = sync.Pool{New: func() any { return &buildScratch{inc: NewIncremental()} }}
+
+// Build runs the dependence analysis over the trace: one pass of
+// Incremental.Preds collects every predecessor list and counts
+// successors, then the Pred and Succ rows are carved out of two
+// exactly sized backing arrays.
 func Build(tr *trace.Trace) *Graph {
 	n := len(tr.Tasks)
+	s := buildPool.Get().(*buildScratch)
+	s.inc.Reset()
+	s.predBuf = s.predBuf[:0]
+	s.predEnd = slices.Grow(s.predEnd[:0], n)[:n]
+	s.succCnt = slices.Grow(s.succCnt[:0], n)[:n]
+	clear(s.succCnt)
+
 	g := &Graph{
 		N:         n,
 		Succ:      make([][]int32, n),
 		Pred:      make([][]int32, n),
 		Durations: make([]uint64, n),
 	}
-
-	type addrState struct {
-		lastWriter int32   // -1 if none
-		readers    []int32 // readers since lastWriter
-	}
-	states := make(map[uint64]*addrState)
-
-	// Collect raw edges; dedupe at the end.
-	preds := make([][]int32, n)
-
 	for i := range tr.Tasks {
-		task := &tr.Tasks[i]
-		g.Durations[i] = task.Duration
-		ti := int32(i)
-		for _, d := range task.Deps {
-			st := states[d.Addr]
-			if st == nil {
-				st = &addrState{lastWriter: -1}
-				states[d.Addr] = st
-			}
-			if d.Dir.Reads() && st.lastWriter >= 0 {
-				preds[i] = append(preds[i], st.lastWriter) // RAW
-			}
-			if d.Dir.Writes() {
-				if st.lastWriter >= 0 {
-					preds[i] = append(preds[i], st.lastWriter) // WAW
-				}
-				for _, r := range st.readers { // WAR
-					if r != ti {
-						preds[i] = append(preds[i], r)
-					}
-				}
-				st.lastWriter = ti
-				st.readers = st.readers[:0]
-			}
-			if d.Dir.Reads() && !d.Dir.Writes() {
-				st.readers = append(st.readers, ti)
-			}
+		g.Durations[i] = tr.Tasks[i].Duration
+		preds := s.inc.Preds(int32(i), tr.Tasks[i].Deps)
+		s.predBuf = append(s.predBuf, preds...)
+		s.predEnd[i] = int32(len(s.predBuf))
+		for _, p := range preds {
+			s.succCnt[p]++
 		}
 	}
 
-	for i := range preds {
-		p := dedupe(preds[i])
-		g.Pred[i] = p
-		for _, from := range p {
-			g.Succ[from] = append(g.Succ[from], int32(i))
+	// Row i of each array starts where row i-1 ends. Successor rows
+	// start empty with room for exactly their successors, which are
+	// appended in ascending task order.
+	pred := slices.Clone(s.predBuf)
+	succ := make([]int32, len(pred))
+	var at int32
+	for i, c := range s.succCnt {
+		if c > 0 {
+			g.Succ[i] = succ[at : at : at+c]
+			at += c
 		}
 	}
+	var lo int32
+	for i, hi := range s.predEnd {
+		if hi > lo {
+			g.Pred[i] = pred[lo:hi:hi]
+			for _, p := range g.Pred[i] {
+				g.Succ[p] = append(g.Succ[p], int32(i))
+			}
+			lo = hi
+		}
+	}
+	buildPool.Put(s)
 	return g
-}
-
-func dedupe(xs []int32) []int32 {
-	if len(xs) <= 1 {
-		return xs
-	}
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // NumEdges returns the number of (deduplicated) dependence edges.
@@ -132,23 +133,27 @@ func (g *Graph) Roots() []int32 {
 // duration-weighted path through the DAG — the execution time with
 // unlimited workers and zero overhead.
 func (g *Graph) CriticalPath() uint64 {
-	finish := make([]uint64, g.N)
 	var cp uint64
-	// Creation order is a topological order: every predecessor of task i
-	// has index < i by construction.
-	for i := 0; i < g.N; i++ {
-		var start uint64
-		for _, p := range g.Pred[i] {
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		finish[i] = start + g.Durations[i]
-		if finish[i] > cp {
-			cp = finish[i]
-		}
+	for _, f := range g.asapFinish() {
+		cp = max(cp, f)
 	}
 	return cp
+}
+
+// asapFinish returns each task's finish cycle under the ASAP schedule:
+// unlimited workers, every task starting the moment its last
+// predecessor finishes.
+func (g *Graph) asapFinish() []uint64 {
+	finish := make([]uint64, g.N)
+	// Creation order is a topological order: every predecessor of task i
+	// has index < i by construction.
+	for i := range finish {
+		for _, p := range g.Pred[i] {
+			finish[i] = max(finish[i], finish[p])
+		}
+		finish[i] += g.Durations[i]
+	}
+	return finish
 }
 
 // BottomLevels returns, for each task, the duration-weighted length of
@@ -179,23 +184,12 @@ func (g *Graph) MaxParallelism() int {
 		t     uint64
 		delta int
 	}
-	finish := make([]uint64, g.N)
 	events := make([]ev, 0, 2*g.N)
-	for i := 0; i < g.N; i++ {
-		var start uint64
-		for _, p := range g.Pred[i] {
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		finish[i] = start + g.Durations[i]
-		events = append(events, ev{start, 1}, ev{finish[i], -1})
+	for i, f := range g.asapFinish() {
+		events = append(events, ev{f - g.Durations[i], 1}, ev{f, -1})
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
-		}
-		return events[a].delta < events[b].delta // process ends before starts
+	slices.SortFunc(events, func(a, b ev) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.delta, b.delta)) // ends before starts
 	})
 	cur, maxp := 0, 0
 	for _, e := range events {
