@@ -69,12 +69,12 @@ type runner struct {
 	// Streaming ingestion state (see stream.go); src is nil on
 	// materialized runs and every field below it is then dormant. When
 	// src is set the runner fetches descriptors on demand, keeps at most
-	// window of them live in the map, and records aggregate probes in
-	// place of the per-task schedule arrays.
+	// window of them live in the slot table, and records aggregate
+	// probes in place of the per-task schedule arrays.
 	src    trace.Source
 	window int
 	kinds  []string // kind table: tr.Kinds or src.Kinds()
-	live   map[uint32]*trace.Task
+	live   queue.Slots[uint32, trace.Task]
 	// fetched counts committed descriptors (the next task's required
 	// ID); lookahead holds a peeked-but-uncommitted task; feedErr parks
 	// a mid-stream validation or source error for the run loops.
@@ -329,11 +329,7 @@ func (r *runner) resetCommon(cfg Config) error {
 	r.refusedIDs = nil
 
 	if r.src != nil {
-		if r.live == nil {
-			r.live = make(map[uint32]*trace.Task, r.window)
-		} else {
-			clear(r.live)
-		}
+		r.live.Reset()
 		r.fetched, r.srcDone, r.lookaheadOK, r.feedErr = 0, false, false, nil
 		r.aggDur, r.aggMakespan, r.aggFirst, r.aggLastStart = 0, 0, 0, 0
 		r.aggFirstSet, r.aggStarted = false, 0
@@ -400,9 +396,9 @@ func (r *runner) scrub() {
 	r.src = nil
 	r.kinds = nil
 	r.feedErr = nil
-	if r.live != nil {
-		clear(r.live) // keep the map's capacity, drop its descriptors
-	}
+	// Keep the slab but drop the descriptors and their dependence chunks.
+	r.live.Clear()
+	r.lookahead, r.lookaheadOK = trace.Task{}, false
 	r.start, r.finish, r.order = nil, nil, nil
 }
 

@@ -16,7 +16,7 @@ import (
 // is refused at admission, or is permanently lost to a fault. At most
 // Config.Window descriptors are live at once, so an arbitrarily long
 // source replays in O(window) heap: no schedule arrays, no whole-trace
-// task slice, just the live map and aggregate probes.
+// task slice, just the live slot table and aggregate probes.
 //
 // The window is modeled backpressure on creation. It composes with the
 // existing knobs — picos.NewQDepth (the accelerator's submission
@@ -90,7 +90,7 @@ func (r *runner) resetStream(src trace.Source, cfg Config) error {
 // descriptor: fewer than window tasks are live. Materialized runs have
 // no window and are always open.
 func (r *runner) windowOpen() bool {
-	return r.src == nil || len(r.live) < r.window
+	return r.src == nil || r.live.Len() < r.window
 }
 
 // retire drops a live streaming descriptor once it can never act again
@@ -98,19 +98,20 @@ func (r *runner) windowOpen() bool {
 // feed pull the next task. No-op on materialized runs.
 func (r *runner) retire(id uint32) {
 	if r.src != nil {
-		delete(r.live, id)
+		r.live.Remove(id)
 	}
 }
 
 // taskAt resolves a task index to its descriptor: the trace slice on
-// materialized runs, the live map on streaming ones. Every index the
-// runner holds (parked, in flight, granted) belongs to a live task, so
-// the map lookup cannot miss.
+// materialized runs, the live slot table on streaming ones. Every index
+// the runner holds (parked, in flight, granted) belongs to a live task,
+// so the lookup cannot miss; a retired index resolves to nil, never to
+// the slot a later task reuses.
 func (r *runner) taskAt(idx uint32) *trace.Task {
 	if r.src == nil {
 		return &r.tr.Tasks[idx]
 	}
-	return r.live[idx]
+	return r.live.At(idx)
 }
 
 // srcHasNext reports whether the source may still produce a task. It is
@@ -152,14 +153,13 @@ func (r *runner) srcPeek() (*trace.Task, bool) {
 
 // srcCommit consumes the peeked task into the live window and returns
 // its index. Callers peek first; committing without a valid lookahead
-// is a programming error the live-map miss would surface immediately.
+// is a programming error the live-table miss would surface immediately.
 func (r *runner) srcCommit() uint32 {
-	t := r.lookahead
 	r.lookaheadOK = false
 	r.fetched++
-	r.aggDur += t.Duration
-	r.live[t.ID] = &t
-	return t.ID
+	r.aggDur += r.lookahead.Duration
+	*r.live.Add(r.lookahead.ID) = r.lookahead
+	return r.lookahead.ID
 }
 
 // feedPending reports an unfinished materialized HW-only preload feed
@@ -187,7 +187,7 @@ func (r *runner) tasksOutstanding() bool {
 	if r.src == nil {
 		return r.accounted() < len(r.tr.Tasks)
 	}
-	return len(r.live) > 0 || r.srcHasNext()
+	return r.live.Len() > 0 || r.srcHasNext()
 }
 
 // stepFeed advances HW+comm streaming ingestion: while the descriptor

@@ -92,12 +92,12 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// checkHotCall flags new(T), fmt.* and interface boxing at call
+// checkHotCall flags new(T), make(...), fmt.* and interface boxing at call
 // boundaries inside a hot function.
 func checkHotCall(pass *Pass, info *types.Info, name string, call *ast.CallExpr) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "new" {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "new" || id.Name == "make") {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			pass.Reportf(call.Pos(), "%s is //picos:hotpath but calls new(...) (heap allocation)", name)
+			pass.Reportf(call.Pos(), "%s is //picos:hotpath but calls %s(...) (heap allocation)", name, id.Name)
 			return
 		}
 	}

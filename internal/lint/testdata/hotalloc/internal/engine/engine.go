@@ -25,6 +25,8 @@ func (m *machine) badStep(now uint64) {
 	_ = lookup
 	p := new(event) // want `calls new\(\.\.\.\)`
 	_ = p
+	buf := make([]event, 0, 8) // want `calls make\(\.\.\.\)`
+	_ = buf
 	fmt.Printf("step %d\n", now)      // want `calls fmt\.Printf`
 	f := func() uint64 { return now } // want `declares a func literal`
 	_ = f

@@ -164,12 +164,16 @@ func (l *eventLoop) acquire(at, hold uint64) uint64 {
 // pooled across runs so steady-state sweeps re-simulate without
 // reallocating the event heap and per-task bookkeeping (the run's event
 // horizon gets warm storage; only the Start/Finish arrays that escape
-// into the Result are fresh).
+// into the Result are fresh). Run uses the per-task arrays, RunSource
+// the live slab (each slot's succ capacity included) and the lazily
+// built dependence analysis; both share the event loop and ready pool.
 type runScratch struct {
 	remaining []int32 // unfinished predecessors
 	submitted []bool
 	loop      eventLoop
 	pool      sched.Pool[struct{}] // ready tasks + parked workers
+	live      queue.Slots[int32, nodeState]
+	inc       *taskgraph.Incremental
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}

@@ -105,14 +105,23 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	var pool sched.Pool[struct{}]
+	sc := scratchPool.Get().(*runScratch)
+	// Hand the (possibly grown) storage back to the pool — error paths
+	// included.
+	defer scratchPool.Put(sc)
+	pool := &sc.pool
 	pool.Reset(classes, cfg.Sched, cfg.Steal, kinds, nil)
-
-	inc := taskgraph.NewIncremental()
-	live := make(map[int32]*nodeState, cfg.Window)
+	if sc.inc == nil {
+		sc.inc = taskgraph.NewIncremental()
+	}
+	inc := sc.inc
+	inc.Reset()
+	live := &sc.live
+	live.Reset()
+	sc.loop = eventLoop{events: sc.loop.events[:0]}
+	loop := &sc.loop
 
 	var (
-		loop     eventLoop
 		fetched  int // tasks pulled off the stream so far
 		finished int
 		srcDone  bool
@@ -135,7 +144,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 	// event, provided the stream has one, the window has room and no
 	// pull is already in flight. Returns false on stream exhaustion.
 	armCreate := func(at uint64) (bool, error) {
-		if pendingOK || srcDone || len(live) >= cfg.Window {
+		if pendingOK || srcDone || live.Len() >= cfg.Window {
 			parked = !pendingOK && !srcDone
 			return !srcDone, nil
 		}
@@ -160,7 +169,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		return true, nil
 	}
 	markReady := func(t int32, at uint64) {
-		kind := live[t].kind
+		kind := live.At(t).kind
 		pool.Enqueue(uint32(t), kind, struct{}{})
 		if w, ok := pool.WakeEligible(kind); ok {
 			loop.push(at, evWorkerIdle, w, -1)
@@ -176,7 +185,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 
 	for loop.events.Len() > 0 {
 		if horizon := loop.events[0].at; horizon > cfg.Watchdog {
-			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, len(live))
+			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, live.Len())
 		}
 		ev := loop.events.Pop()
 		switch ev.kind {
@@ -186,16 +195,17 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 			pendingOK = false
 			fetched++
 			aggDur += task.Duration
-			nd := &nodeState{ndeps: len(task.Deps), dur: task.Duration, kind: task.Kind}
+			// The slot keeps its succ capacity from the task it last held.
+			nd := live.Add(t)
+			*nd = nodeState{succ: nd.succ[:0], ndeps: len(task.Deps), dur: task.Duration, kind: task.Kind}
 			// Only predecessors still live gate this task; finished ones
 			// already released their constraint.
 			for _, p := range inc.Preds(t, task.Deps) {
-				if pn, alive := live[p]; alive {
+				if pn := live.At(p); pn != nil {
 					pn.succ = append(pn.succ, t)
 					nd.remaining++
 				}
 			}
-			live[t] = nd
 			hold := tm.inflate(tm.SubmitBase+uint64(nd.ndeps)*tm.SubmitPerDep, threads)
 			end := loop.acquire(ev.at, hold)
 			if nd.remaining == 0 {
@@ -220,7 +230,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 				lastStart = end
 			}
 			started++
-			fin := end + pool.Scale(ev.who, live[t].dur)
+			fin := end + pool.Scale(ev.who, live.At(t).dur)
 			loop.push(fin, evWorkerDone, ev.who, t)
 			if pool.Len() > 0 {
 				if w, ok := pool.WakeAny(); ok {
@@ -229,7 +239,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 			}
 		case evWorkerDone:
 			t := ev.task
-			nd := live[t]
+			nd := live.At(t)
 			hold := tm.inflate(tm.ReleaseBase+uint64(nd.ndeps)*tm.ReleasePerDep, threads)
 			end := loop.acquire(ev.at, hold)
 			finished++
@@ -237,13 +247,13 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 				res.Makespan = ev.at
 			}
 			for _, s := range nd.succ {
-				sn := live[s]
+				sn := live.At(s)
 				sn.remaining--
 				if sn.remaining == 0 {
 					markReady(s, end)
 				}
 			}
-			delete(live, t) // retire: the window slot reopens
+			live.Remove(t) // retire: the window slot reopens
 			if parked {
 				if _, err := armCreate(end); err != nil {
 					return nil, err
@@ -253,8 +263,8 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 		}
 	}
 
-	if len(live) > 0 || pendingOK || !srcDone {
-		return nil, fmt.Errorf("nanos: stream stalled with %d live tasks after %d finished (scheduler wedge)", len(live), finished)
+	if live.Len() > 0 || pendingOK || !srcDone {
+		return nil, fmt.Errorf("nanos: stream stalled with %d live tasks after %d finished (scheduler wedge)", live.Len(), finished)
 	}
 	res.LockBusy = loop.lockBusy
 	if res.Baseline == 0 {

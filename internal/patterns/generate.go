@@ -12,8 +12,8 @@ import (
 // Generate returns a lazy trace.Source over the pattern: tasks are
 // produced one at a time in the same step-major creation order Build
 // materializes, so Materialize(Generate(p)) is byte-identical to
-// Build(p) (the equivalence test in generate_test.go locks it), but the
-// grid is never held in memory — a width*steps grid of millions of
+// Build(p) (TestGenerateMatchesBuild in generate_test.go locks it), but
+// the grid is never held in memory — a width*steps grid of millions of
 // tasks streams in O(width) state. task-bench generates its grids the
 // same way: the dependence functions are closed-form in (t, i), so
 // nothing about a timestep needs the materialized previous one.
@@ -49,7 +49,7 @@ func Generate(p Params, retain int) (trace.Source, error) {
 		points: p.points(),
 		name:   "pattern-" + p.Name(),
 		kinds:  []string{p.Family},
-		seen:   make(map[uint64]bool, trace.MaxDeps),
+		deps:   make([]trace.Dep, 0, trace.MaxDeps),
 	}
 	if p.Layout == "shard" && !fam.freshAddr {
 		// The slot table of the chaining families is O(points*fields) —
@@ -72,10 +72,22 @@ func Generate(p Params, retain int) (trace.Source, error) {
 	return src, nil
 }
 
+// depChunk is how many dependences one shared chunk holds (16 KiB). A
+// chunk is freed once every task carved from it has been dropped, so a
+// bounded window of live tasks pins a bounded number of chunks.
+const depChunk = 1024
+
 // gridSource streams one pattern grid in step-major order with O(width)
 // retained state. The only cursor beyond (t, i) is the shard layout's
 // sequential probe position for fresh-address families, whose slot
 // sequence t*points+i is exactly the emission order.
+//
+// Next allocates nothing per task: the family's inputs land in a reused
+// buffer, each task's dependences are built in a scratch slice, and the
+// finished list is copied into a shared chunk. The emitted Deps is the
+// task's own sub-slice of that chunk, clipped to its length and
+// capacity, and the chunk is never written there again — so the Deps
+// still belongs to the caller, as trace.Source requires.
 type gridSource struct {
 	p      Params
 	fam    family
@@ -90,7 +102,10 @@ type gridSource struct {
 	// Shard-layout probe cursor for fresh-address families.
 	slot     int
 	nextAddr uint64
-	seen     map[uint64]bool
+
+	in    []int       // the family's inputs for the task being built
+	deps  []trace.Dep // the task being built, cap MaxDeps
+	chunk []trace.Dep // the shared chunk emitted Deps are carved from
 }
 
 func (s *gridSource) Name() string         { return s.name }
@@ -103,7 +118,6 @@ func (s *gridSource) Rewind() error { s.reset(); return nil }
 func (s *gridSource) reset() {
 	s.t, s.i, s.id = 0, 0, 0
 	s.slot, s.nextAddr = 0, patternBase
-	clear(s.seen)
 }
 
 // buf returns the step-t field buffer of point i, matching Build's
@@ -133,6 +147,7 @@ func (s *gridSource) freshShardAddr(slot int) uint64 {
 	return addr
 }
 
+//picos:hotpath
 func (s *gridSource) Next() (trace.Task, bool) {
 	p := s.p
 	for {
@@ -159,37 +174,68 @@ func (s *gridSource) Next() (trace.Task, bool) {
 				own = patternBase + uint64(t*s.points+i)*s.stride
 			}
 		}
-		deps := make([]trace.Dep, 0, trace.MaxDeps)
-		deps = s.addRegions(deps, own, trace.InOut)
+		deps := s.addRegions(s.deps[:0], own, trace.InOut)
 		if t > 0 {
-			for _, j := range s.fam.inputs(p, t, i) {
+			s.in = s.fam.inputs(s.in[:0], p, t, i)
+			for _, j := range s.in {
 				if j < 0 || j >= s.points || p.hole(j) {
 					continue
 				}
 				deps = s.addRegions(deps, s.buf(j, t-1), trace.In)
 			}
 		}
-		for _, d := range deps {
-			delete(s.seen, d.Addr)
-		}
+		s.deps = deps
 		dur := p.Len
 		if p.Jitter > 0 {
 			dur = detrand.Jitter(p.Len, p.Seed^uint64(id)<<1, p.Jitter)
 		}
-		return trace.Task{ID: id, Deps: deps, Duration: dur, Kind: 1}, true
+		return trace.Task{ID: id, Deps: s.carve(deps), Duration: dur, Kind: 1}, true
 	}
 }
 
 // addRegions mirrors Build's addRegions: one dependence per address
-// region, deduplicated, capped at the hardware's per-task limit.
+// region, deduplicated, capped at the hardware's per-task limit. A task
+// has at most MaxDeps dependences, so a linear scan dedupes faster than
+// any set.
+//
+//picos:hotpath
 func (s *gridSource) addRegions(deps []trace.Dep, base uint64, dir trace.Direction) []trace.Dep {
 	for r := 0; r < s.p.Regions; r++ {
 		a := base + uint64(r)*regionStride
-		if s.seen[a] || len(deps) == trace.MaxDeps {
+		if len(deps) == trace.MaxDeps || hasAddr(deps, a) {
 			continue
 		}
-		s.seen[a] = true
 		deps = append(deps, trace.Dep{Addr: a, Dir: dir})
 	}
 	return deps
+}
+
+// hasAddr reports whether deps already names address a.
+func hasAddr(deps []trace.Dep, a uint64) bool {
+	for _, d := range deps {
+		if d.Addr == a {
+			return true
+		}
+	}
+	return false
+}
+
+// carve copies deps into the shared chunk and returns the copy, clipped
+// so that appending to it reallocates instead of writing into the next
+// task's dependences.
+//
+//picos:hotpath
+func (s *gridSource) carve(deps []trace.Dep) []trace.Dep {
+	if len(s.chunk)+len(deps) > cap(s.chunk) {
+		s.refill()
+	}
+	n := len(s.chunk)
+	s.chunk = append(s.chunk, deps...)
+	return s.chunk[n:len(s.chunk):len(s.chunk)]
+}
+
+// refill starts a fresh chunk. The full one is left to the tasks carved
+// from it and is freed with the last of them.
+func (s *gridSource) refill() {
+	s.chunk = make([]trace.Dep, 0, depChunk)
 }

@@ -157,9 +157,11 @@ const patternBase = 0x70000000
 // the 64 sets).
 const regionStride = uint64(1<<40) | 0x44
 
-// family is one dependence-pattern family: inputs returns the previous-
-// step points that (t,i) reads, for t >= 1. Implementations may return
-// i itself or duplicates; Build filters both.
+// family is one dependence-pattern family: inputs appends to dst the
+// previous-step points that (t,i) reads, for t >= 1, and returns the
+// extended slice, so a caller reuses one buffer across tasks.
+// Implementations may emit i itself or duplicates; Build and Generate
+// both filter them.
 type family struct {
 	desc     string
 	needPow2 bool
@@ -168,160 +170,153 @@ type family struct {
 	// freshAddr gives every task its own buffer (no cross-step
 	// chaining): the fully-independent control family.
 	freshAddr bool
-	inputs    func(p Params, t, i int) []int
+	inputs    func(dst []int, p Params, t, i int) []int
 }
 
 var families = map[string]family{
 	"trivial": {
 		desc:      "independent tasks, a fresh buffer per task (no dependences at all)",
 		freshAddr: true,
-		inputs:    func(Params, int, int) []int { return nil },
+		inputs:    func(dst []int, _ Params, _, _ int) []int { return dst },
 	},
 	"no_comm": {
 		desc:   "width independent chains: each point reads only its own previous-step value",
-		inputs: func(p Params, t, i int) []int { return []int{i} },
+		inputs: func(dst []int, p Params, t, i int) []int { return append(dst, i) },
 	},
 	"stencil_1d": {
 		desc:   "each point reads itself and its left and right neighbors of the previous step",
-		inputs: func(p Params, t, i int) []int { return []int{i - 1, i, i + 1} },
+		inputs: func(dst []int, p Params, t, i int) []int { return append(dst, i-1, i, i+1) },
 	},
 	"stencil_1d_periodic": {
 		desc: "stencil_1d with wrap-around at the row ends",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			w := p.Width
-			return []int{(i - 1 + w) % w, i, (i + 1) % w}
+			return append(dst, (i-1+w)%w, i, (i+1)%w)
 		},
 	},
 	"nearest": {
 		desc: "each point reads the k-wide window of previous-step points centered on it",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			lo := max(0, i-p.K/2)
 			hi := min(p.Width-1, i+(p.K-1)/2)
-			out := make([]int, 0, hi-lo+1)
 			for j := lo; j <= hi; j++ {
-				out = append(out, j)
+				dst = append(dst, j)
 			}
-			return out
+			return dst
 		},
 	},
 	"spread": {
 		desc: "each point reads itself plus k-1 points strided uniformly across the previous step's row",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			w := p.Width
 			stride := w / p.K
 			if stride < 1 {
 				stride = 1
 			}
 			n := min(p.K, w) // beyond w the rotation only repeats
-			out := make([]int, 0, n)
 			for j := 0; j < n; j++ {
-				out = append(out, (i+j*stride)%w)
+				dst = append(dst, (i+j*stride)%w)
 			}
-			return out
+			return dst
 		},
 	},
 	"random_nearest": {
 		desc: "each point reads a seeded random subset of the 2k+1-wide window around it",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			lo, hi := max(0, i-p.K), min(p.Width-1, i+p.K)
-			out := make([]int, 0, hi-lo+1)
 			for j := lo; j <= hi; j++ {
 				h := detrand.SplitMix64(p.Seed ^ uint64(t)<<40 ^ uint64(i)<<20 ^ uint64(j+p.K))
 				if h&1 == 0 {
-					out = append(out, j)
+					dst = append(dst, j)
 				}
 			}
-			return out
+			return dst
 		},
 	},
 	"fft": {
 		desc:     "butterfly exchanges: at step t each point reads itself and its partner i xor 2^((t-1) mod log2(width))",
 		needPow2: true,
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			if p.Width < 2 {
-				return []int{i}
+				return append(dst, i)
 			}
-			return []int{i, i ^ (1 << uint((t-1)%log2(p.Width)))}
+			return append(dst, i, i^(1<<uint((t-1)%log2(p.Width))))
 		},
 	},
 	"tree": {
 		desc: "binary fan-out from point 0: the active frontier doubles each step, each new point reading its parent",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			active := p.Width
 			if t < 31 && 1<<uint(t) < p.Width {
 				active = 1 << uint(t)
 			}
 			if i == 0 || i >= active {
-				return nil
+				return dst
 			}
-			return []int{i / 2}
+			return append(dst, i/2)
 		},
 	},
 	"dom": {
 		desc: "lower-triangular dominance: each point reads every lower-indexed previous-step point (truncated to the nearest 15)",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			lo := i + 1 - trace.MaxDeps
 			if lo < 0 {
 				lo = 0
 			}
-			out := make([]int, 0, i-lo+1)
 			for j := lo; j <= i; j++ {
-				out = append(out, j)
+				dst = append(dst, j)
 			}
-			return out
+			return dst
 		},
 	},
 	"all_to_all": {
 		desc: "each point reads every point of the previous step (a step barrier; truncated to a 15-point rotation at large widths)",
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			w := p.Width
 			n := w
 			if n > trace.MaxDeps {
 				n = trace.MaxDeps
 			}
-			out := make([]int, 0, n)
 			for m := 0; m < n; m++ {
-				out = append(out, (i+m)%w)
+				dst = append(dst, (i+m)%w)
 			}
-			return out
+			return dst
 		},
 	},
 	"stencil_2d": {
 		desc: "5-point stencil on a width x height grid: each point reads itself and its four edge neighbors of the previous step",
 		is2D: true,
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			x, y := i%p.Width, i/p.Width
-			out := make([]int, 0, 5)
-			out = append(out, i)
+			dst = append(dst, i)
 			if x > 0 {
-				out = append(out, i-1)
+				dst = append(dst, i-1)
 			}
 			if x < p.Width-1 {
-				out = append(out, i+1)
+				dst = append(dst, i+1)
 			}
 			if y > 0 {
-				out = append(out, i-p.Width)
+				dst = append(dst, i-p.Width)
 			}
 			if y < p.Height-1 {
-				out = append(out, i+p.Width)
+				dst = append(dst, i+p.Width)
 			}
-			return out
+			return dst
 		},
 	},
 	"wavefront": {
 		desc: "2-D wavefront (dom_2d): each point reads itself and its west and north neighbors of the previous step, the Smith-Waterman sweep",
 		is2D: true,
-		inputs: func(p Params, t, i int) []int {
+		inputs: func(dst []int, p Params, t, i int) []int {
 			x, y := i%p.Width, i/p.Width
-			out := make([]int, 0, 3)
-			out = append(out, i)
+			dst = append(dst, i)
 			if x > 0 {
-				out = append(out, i-1)
+				dst = append(dst, i-1)
 			}
 			if y > 0 {
-				out = append(out, i-p.Width)
+				dst = append(dst, i-p.Width)
 			}
-			return out
+			return dst
 		},
 	},
 	"dagfile": {
@@ -652,6 +647,7 @@ func Build(p Params) (*trace.Trace, error) {
 	// affinities (sched.Classes) attach to.
 	kind := tr.KindID(p.Family)
 	seen := make(map[uint64]bool, trace.MaxDeps)
+	var in []int // inputs buffer, reused across tasks
 	// addRegions appends one dependence per address region of a point
 	// buffer, deduplicated and capped at the hardware's per-task limit.
 	addRegions := func(deps []trace.Dep, base uint64, dir trace.Direction) []trace.Dep {
@@ -678,7 +674,8 @@ func Build(p Params) (*trace.Trace, error) {
 			deps := make([]trace.Dep, 0, trace.MaxDeps)
 			deps = addRegions(deps, own, trace.InOut)
 			if t > 0 {
-				for _, j := range fam.inputs(p, t, i) {
+				in = fam.inputs(in[:0], p, t, i)
+				for _, j := range in {
 					if j < 0 || j >= points || p.hole(j) {
 						continue
 					}

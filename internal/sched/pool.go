@@ -222,6 +222,8 @@ func (p *Pool[P]) remove(q int, i int) Item[P] {
 }
 
 // takeFor removes and returns the task worker w should run, if any.
+//
+//picos:hotpath
 func (p *Pool[P]) takeFor(w int) (Item[P], bool) {
 	ci := int(p.classOf[w])
 	passes := 1
@@ -256,7 +258,16 @@ func (p *Pool[P]) takeFor(w int) (Item[P], bool) {
 // with that task, removing both from the pool and recording the class
 // in the task kind's locality history. Call it in a loop until it
 // returns false.
+//
+// With no task queued it returns at once: takeFor cannot succeed on
+// empty queues, so popping every idle worker only to push them all back
+// would change nothing but the cost.
+//
+//picos:hotpath
 func (p *Pool[P]) Grant() (w int, it Item[P], ok bool) {
+	if p.qlen == 0 {
+		return w, it, false
+	}
 	p.scratch = p.scratch[:0]
 	for len(p.idle) > 0 {
 		cand := p.idle.Pop()

@@ -80,3 +80,41 @@ func TestWarmSoftwareRunTraceAllocs(t *testing.T) {
 		}
 	}
 }
+
+// maxStreamAllocsPerTask bounds a warm windowed sim.RunSource, per
+// task pulled off the stream. The live windows are slot tables whose
+// slabs stop growing at the window, the ready pool skips empty-queue
+// grants, and the pattern generator carves every task's dependences
+// out of a shared chunk, so what remains is one chunk per ~1k
+// dependences plus the Result and a few per-run slices.
+const maxStreamAllocsPerTask = 0.01
+
+// TestWarmStreamAllocs locks the streamed path's allocation rate: a
+// 16k-task pattern stream replayed under a 256-descriptor window, on
+// picos-full with a fast/slow class mix and stealing (the Pool.Grant
+// path) and on nanos.
+func TestWarmStreamAllocs(t *testing.T) {
+	const (
+		workload = "pattern:stencil_1d?width=128&steps=128&jitter=20"
+		tasks    = 128 * 128
+	)
+	for _, spec := range []sim.Spec{
+		{Engine: "picos-full", Workload: workload, WorkerClasses: "4xfast+8xslow:3.0", Steal: true, Window: 256},
+		{Engine: "nanos", Workload: workload, Workers: 12, Window: 256},
+	} {
+		src, err := sim.BuildWorkloadSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := sim.RunSource(src, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the engine pools, slabs and scratch
+		run()
+		if avg := testing.AllocsPerRun(3, run) / tasks; avg > maxStreamAllocsPerTask {
+			t.Errorf("warm streamed %s allocates %.4f times per task; lock is %.2f", spec.Engine, avg, maxStreamAllocsPerTask)
+		}
+	}
+}

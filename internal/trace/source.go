@@ -14,9 +14,12 @@ import "fmt"
 //   - Next returns descriptors with IDs 0, 1, 2, ... in creation order
 //     and (Task{}, false) when the stream is exhausted. The returned
 //     Task's Deps slice belongs to the caller: the source must not reuse
-//     or mutate it after returning (generators build a fresh slice per
-//     task; adapters over materialized traces hand out the stored one,
-//     which nothing mutates).
+//     or mutate it after returning. The pattern generator copies each
+//     task's list into a shared chunk it never writes again and hands
+//     out that sub-slice clipped to len == cap, so an append reallocates
+//     instead of reaching a neighbour's dependences; adapters over
+//     materialized traces hand out the stored one, which nothing
+//     mutates.
 //   - Rewind restarts the stream from task 0. Multi-pass consumers — the
 //     perfect roofline's critical-path weighting, equivalence harnesses
 //     replaying the same stream on two loops — depend on it; sources
