@@ -7,7 +7,7 @@ import (
 )
 
 // DirtyHorizon enforces the contract of the incremental event-horizon
-// scheduler (internal/picos/horizon.go): the heap's per-unit keys are
+// scheduler (internal/picos/horizon.go): the per-unit horizon keys are
 // re-polled lazily, only for units marked dirty, so ANY state change
 // that can move a unit's nextEvent() horizon must mark that unit dirty.
 // A missed markDirty is the nastiest bug class this model has — the
@@ -17,7 +17,7 @@ import (
 // reference.
 //
 // The analyzer applies to packages named picos. A "unit" is any struct
-// type with an `hid` field (its slot in the horizon heap). The tracked
+// type with an `hid` field (its slot among the horizon keys). The tracked
 // horizon-bearing mutations are:
 //
 //   - push/pop on a unit's registered FIFOs (lowercase push/pop — the
@@ -25,17 +25,16 @@ import (
 //     container types is not a unit-level event),
 //   - assignments to the busy-timer and blocked/stalled fields that
 //     gate nextEvent(): busyUntil, busyUntilFin, blocked, headStalled,
-//     hasParked, stall, parkedStall, parkedRetryAt.
+//     hasParked, stall, parkedStall, retry.
 //
 // A function containing such a mutation on owner O (the selector chain
 // holding the FIFO or field, e.g. `p.gw` for p.gw.newQ.push) must also
 // contain markDirty(O.hid), or reach one transitively by calling
 // another method of the same unit that marks its own receiver dirty
 // (the consume() idiom in trs.go/dct.go). Functions named reset,
-// rebuildHorizon, nextEvent, active, markDirty and flushHorizon are
-// exempt: resets are followed by rebuildHorizon, which re-derives every
-// key from scratch, and the scheduler internals are the mechanism
-// itself. Anything else must carry a //lint:ignore dirtyhorizon with
+// rebuildHorizon, nextEvent, markDirty and flushHorizon are exempt:
+// resets are followed by rebuildHorizon, which re-derives every key
+// from scratch, and the scheduler internals are the mechanism itself. Anything else must carry a //lint:ignore dirtyhorizon with
 // its proof of why the horizon cannot move.
 var DirtyHorizon = &Analyzer{
 	Name:    "dirtyhorizon",
@@ -47,14 +46,14 @@ var DirtyHorizon = &Analyzer{
 // horizonFields are the unit fields whose value feeds nextEvent() or the
 // stepDue()/skipTo() stall accounting.
 var horizonFields = map[string]bool{
-	"busyUntil":     true,
-	"busyUntilFin":  true,
-	"blocked":       true,
-	"headStalled":   true,
-	"hasParked":     true,
-	"stall":         true,
-	"parkedStall":   true,
-	"parkedRetryAt": true,
+	"busyUntil":    true,
+	"busyUntilFin": true,
+	"blocked":      true,
+	"headStalled":  true,
+	"hasParked":    true,
+	"stall":        true,
+	"parkedStall":  true,
+	"retry":        true,
 }
 
 // dirtyExemptFuncs never need to mark units dirty themselves.
@@ -62,7 +61,6 @@ var dirtyExemptFuncs = map[string]bool{
 	"reset":          true, // always followed by rebuildHorizon
 	"rebuildHorizon": true, // re-derives every key
 	"nextEvent":      true, // read-only polling surface
-	"active":         true, // read-only
 	"markDirty":      true, // the mechanism
 	"flushHorizon":   true, // the mechanism
 }

@@ -21,7 +21,7 @@ type arbiter struct {
 	timing *Timing
 	in     arbHeap
 	routed uint64
-	hid    int32 // horizon-heap slot
+	hid    int32 // horizon key slot
 }
 
 func newArbiter(p *Picos) *arbiter {
@@ -84,22 +84,25 @@ func (a *arbiter) step(now uint64) {
 // it).
 func (a *arbiter) nextEvent() (uint64, bool) { return a.in.headAt() }
 
-func (a *arbiter) active(now uint64) bool { return !a.in.empty() }
-
-// arbEntry is one queued message of the visibility-ordered arbiter.
+// arbEntry is one heap node of the visibility-ordered arbiter. The
+// message itself waits in the heap's slab, so a sift moves 24 bytes
+// instead of the whole payload union.
 type arbEntry struct {
-	at  uint64 // visibility stamp: earliest cycle the message can route
-	seq uint64 // issue order, the tie-break for equal stamps
-	m   arbMsg
+	at   uint64 // visibility stamp: earliest cycle the message can route
+	seq  uint64 // issue order, the tie-break for equal stamps
+	slot int32  // index of the message in arbHeap.msgs
 }
 
 // arbHeap is a binary min-heap of messages keyed (at, seq): the head is
 // the earliest-visible message, with ties resolved in issue order so
-// same-cycle sends route exactly as the pre-heap FIFO did. Storage is
-// reused across resets.
+// same-cycle sends route exactly as the pre-heap FIFO did. Messages sit
+// in a slab whose free slots are recycled; all storage is reused across
+// resets.
 type arbHeap struct {
-	h   []arbEntry
-	seq uint64
+	h    []arbEntry
+	msgs []arbMsg
+	free []int32
+	seq  uint64
 }
 
 func (q *arbHeap) less(i, j int) bool {
@@ -111,7 +114,16 @@ func (q *arbHeap) less(i, j int) bool {
 
 //picos:hotpath
 func (q *arbHeap) push(m arbMsg, at uint64) {
-	q.h = append(q.h, arbEntry{at: at, seq: q.seq, m: m})
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.msgs[slot] = m
+	} else {
+		slot = int32(len(q.msgs))
+		q.msgs = append(q.msgs, m)
+	}
+	q.h = append(q.h, arbEntry{at: at, seq: q.seq, slot: slot})
 	q.seq++
 	i := len(q.h) - 1
 	for i > 0 {
@@ -132,10 +144,11 @@ func (q *arbHeap) pop(now uint64) (arbMsg, bool) {
 	if len(q.h) == 0 || q.h[0].at > now {
 		return arbMsg{}, false
 	}
-	m := q.h[0].m
+	slot := q.h[0].slot
+	m := q.msgs[slot]
+	q.free = append(q.free, slot)
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
-	q.h[last] = arbEntry{}
 	q.h = q.h[:last]
 	i := 0
 	for {
@@ -169,7 +182,8 @@ func (q *arbHeap) empty() bool { return len(q.h) == 0 }
 // reset drops all messages and restarts issue numbering, keeping the
 // backing storage.
 func (q *arbHeap) reset() {
-	clear(q.h)
 	q.h = q.h[:0]
+	q.msgs = q.msgs[:0]
+	q.free = q.free[:0]
 	q.seq = 0
 }

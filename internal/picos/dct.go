@@ -40,19 +40,20 @@ type dctUnit struct {
 	parked      newDepPkt
 	parkedSet   int
 	parkedStall stallKind
-	// parkedRetryAt schedules the one retry that a release arriving while
-	// the registration engine was mid-operation could not attempt
-	// immediately: the engine frees at busyUntil, and without surfacing
-	// that cycle as an event the fast path would sleep through a retry
-	// the per-cycle reference loop performs (and that may now succeed).
-	// Zero means no retry is owed; failed retries clear it, because a
-	// retry can only start succeeding after another release.
-	parkedRetryAt uint64
+	// retry is armed by a release (the only event that frees a DM way or
+	// a VM slot) while a head is stalled or a dependence is parked, and
+	// cleared by the next registration step that attempts the retry. A
+	// release normally lands in the step that retries, so the flag
+	// outlives a step only when the registration engine is busy: it then
+	// puts busyUntil on the horizon, and the fast path wakes for the
+	// retry the per-cycle reference loop performs there (and that may
+	// now succeed).
+	retry bool
 
 	busyUntil    uint64 // registration engine
 	busyUntilFin uint64 // release engine (overlapped in the prototype)
 	busy         uint64
-	hid          int32 // horizon-heap slot
+	hid          int32 // horizon key slot
 }
 
 // stallKind labels why a dependence cannot be stored, i.e. which Stats
@@ -97,7 +98,7 @@ func (u *dctUnit) reset(design DMDesign) {
 	u.finQ.reset()
 	u.headStalled, u.conflictCounted, u.stall = false, false, stallNone
 	u.hasParked, u.parked, u.parkedSet, u.parkedStall = false, newDepPkt{}, 0, stallNone
-	u.parkedRetryAt = 0
+	u.retry = false
 	u.busyUntil, u.busyUntilFin, u.busy = 0, 0, 0
 }
 
@@ -108,49 +109,57 @@ func (u *dctUnit) step(now uint64) {
 	// Release engine: frees DM ways and VM entries — including the very
 	// stalls blocking the registration path — without costing
 	// registration throughput.
+	released := false
 	for u.busyUntilFin <= now {
 		pkt, ok := u.finQ.pop(now)
 		if !ok {
 			break
 		}
+		released = true
 		u.p.markDirty(u.hid)
 		u.handleFinish(pkt, now)
 	}
-	// Sidetrack retry port: the parked dependence retries once per cycle
-	// (when the registration engine is free) with priority over the
-	// queue, and charges its stall counter every cycle it stays parked —
-	// exactly what a stalled queue head would have charged. skipTo
-	// batch-accounts the same charge across fast-forwarded stretches.
+	if u.busyUntil <= now {
+		u.register(now, released)
+	}
+	// A dependence still parked or stalled charges the cycle its retry
+	// failed (or, behind a busy engine, could not run); skipTo and
+	// stepDue charge the cycles they skip the same way.
+	u.chargeStall(1)
+}
+
+// register runs one cycle of the free registration engine. The parked
+// dependence retries first, with priority over the queue, then the
+// queue head registers, parks or stalls.
+func (u *dctUnit) register(now uint64, released bool) {
+	if u.retry {
+		u.retry = false
+		u.p.markDirty(u.hid)
+	}
+	// A step that neither released nor registered anything and only
+	// re-failed a retry is waste the fast path avoids; count it.
+	stale := !released && (u.hasParked || u.headStalled)
 	if u.hasParked {
-		if u.busyUntil <= now {
-			u.parkedRetryAt = 0
-			if kind := u.tryNewDep(u.parked, now); kind == stallNone {
-				u.hasParked = false
-				u.parked = newDepPkt{}
-				// The head (possibly stalled behind this very set) is
-				// re-attempted once the engine frees; put it back on the
-				// horizon so the fast path wakes for that attempt. Its
-				// conflictCounted marker survives so a re-stall does not
-				// count the same dependence twice.
-				u.headStalled = false
-				u.stall = stallNone
-				u.p.markDirty(u.hid)
-			} else {
-				u.parkedStall = kind
-			}
-		}
-		if u.hasParked {
-			if u.parkedStall == stallVMFull {
-				u.p.stats.VMStallCycles++
-			} else {
-				u.p.stats.DMConflictStallCycles++
-			}
+		if kind := u.tryNewDep(u.parked, now); kind == stallNone {
+			u.hasParked = false
+			u.parked = newDepPkt{}
+			// The head (possibly stalled behind this very set) is
+			// re-attempted once the engine frees; put it back on the
+			// horizon so the fast path wakes for that attempt. Its
+			// conflictCounted marker survives so a re-stall does not
+			// count the same dependence twice.
+			u.headStalled = false
+			u.stall = stallNone
+			u.p.markDirty(u.hid)
+			stale = false
+		} else {
+			u.parkedStall = kind
 		}
 	}
 	for u.busyUntil <= now {
 		pkt, ok := u.newDepQ.peek(now)
 		if !ok {
-			return
+			break
 		}
 		kind := u.tryNewDep(pkt, now)
 		if kind == stallNone {
@@ -158,6 +167,7 @@ func (u *dctUnit) step(now uint64) {
 			u.headStalled = false
 			u.conflictCounted = false
 			u.stall = stallNone
+			stale = false
 			continue
 		}
 		if kind == stallDMSet && u.sidetracked() && !u.hasParked {
@@ -174,7 +184,6 @@ func (u *dctUnit) step(now uint64) {
 			if !u.conflictCounted {
 				u.p.stats.DMConflicts++
 			}
-			u.p.stats.DMConflictStallCycles++
 			u.headStalled = false
 			u.conflictCounted = false
 			u.stall = stallNone
@@ -188,31 +197,53 @@ func (u *dctUnit) step(now uint64) {
 		if !u.headStalled {
 			u.headStalled = true
 			u.p.markDirty(u.hid)
+			stale = false
 		}
 		if kind == stallVMFull {
 			if !u.conflictCounted {
 				u.p.stats.VMStallEvents++
 				u.conflictCounted = true
 			}
-			u.p.stats.VMStallCycles++
-			u.stall = stallVMFull
-		} else {
+		} else if !u.conflictCounted && (!u.sidetracked() || u.dm.index(pkt.addr) != u.parkedSet) {
 			// A head conflicting while the sidetrack is occupied waits in
 			// order. If it waits on a different set than the parked
 			// dependence, that is a distinct saturated set — a conflict of
 			// its own; the same set is the episode the sidetrack already
 			// counted (the head inherits it when the slot frees, without
 			// recounting).
-			if !u.conflictCounted && (!u.sidetracked() || u.dm.index(pkt.addr) != u.parkedSet) {
-				u.p.stats.DMConflicts++
-				u.conflictCounted = true
-			}
-			u.p.stats.DMConflictStallCycles++
-			u.stall = stallDMSet
+			u.p.stats.DMConflicts++
+			u.conflictCounted = true
 		}
+		u.stall = kind
 		u.busyUntil = now + 1
 		u.p.noteBusy(u.busyUntil)
-		return
+		break
+	}
+	if stale {
+		u.p.staleRetries++
+	}
+}
+
+// chargeStall charges delta cycles of the per-cycle stall a parked
+// dependence and a stalled head accrue while their retries re-fail: DM
+// conflict or VM shortage, whichever their last retry hit.
+//
+//picos:hotpath
+func (u *dctUnit) chargeStall(delta uint64) {
+	st := &u.p.stats
+	if u.hasParked {
+		if u.parkedStall == stallVMFull {
+			st.VMStallCycles += delta
+		} else {
+			st.DMConflictStallCycles += delta
+		}
+	}
+	if u.headStalled {
+		if u.stall == stallVMFull {
+			st.VMStallCycles += delta
+		} else {
+			st.DMConflictStallCycles += delta
+		}
 	}
 }
 
@@ -249,7 +280,8 @@ func (u *dctUnit) sendWake(pkt wakePkt, at uint64) {
 // head or parks in the sidetrack, and does the stall accounting.
 func (u *dctUnit) tryNewDep(pkt newDepPkt, now uint64) stallKind {
 	st := &u.p.stats
-	if ref, hit := u.dm.lookup(pkt.addr); hit {
+	ref, hit, room := u.dm.probe(pkt.addr)
+	if hit {
 		e := u.dm.at(ref)
 		tailIdx := e.tail
 		tail := u.vm.at(tailIdx)
@@ -316,18 +348,16 @@ func (u *dctUnit) tryNewDep(pkt newDepPkt, now uint64) stallKind {
 		return stallNone
 	}
 
-	// Miss: first live appearance of the address.
+	// Miss: first live appearance of the address. VM exhaustion is
+	// reported before a full set.
 	if u.vm.freeCount() == 0 {
 		return stallVMFull
 	}
-	// Probe for a free way before allocating VM so a conflict does not
-	// leak a version entry.
-	idx, _ := u.vm.alloc()
-	ref, ok := u.dm.insert(pkt.addr, idx, !pkt.dir.Writes())
-	if !ok {
-		u.vm.release(idx)
+	if !room {
 		return stallDMSet
 	}
+	idx, _ := u.vm.alloc()
+	*u.dm.at(ref) = dmEntry{valid: true, input: !pkt.dir.Writes(), tag: pkt.addr, head: idx, tail: idx, count: 1}
 	nv := u.vm.at(idx)
 	nv.dm = ref
 	if pkt.dir.Writes() {
@@ -370,11 +400,11 @@ func (u *dctUnit) handleFinish(pkt finishDepPkt, now uint64) {
 	if !leakCredit {
 		u.p.gw.returnCredit(u.id)
 	}
-	if u.hasParked && u.busyUntil > now {
-		// This release may free the parked dependence's set, but the
-		// registration engine is mid-operation: owe a retry at the cycle
-		// it frees (see parkedRetryAt).
-		u.parkedRetryAt = u.busyUntil
+	if u.headStalled || u.hasParked {
+		// This release may free the stalled or parked dependence's set or
+		// VM slot: arm the retry (see retry).
+		u.retry = true
+		u.p.arms++
 		u.p.markDirty(u.hid)
 	}
 	v := u.vm.at(pkt.vm.Idx)
@@ -430,12 +460,13 @@ func (u *dctUnit) completeVersion(idx uint16, at uint64) {
 }
 
 // nextEvent returns the earliest cycle at which the DCT can make
-// progress on its own: a release on the finish engine or a registration
-// on the new-dependence engine. A stalled head and a parked sidetrack
-// dependence are excluded — their retries cannot succeed until a release
-// (an event in its own right) frees space, and the stall cycles they
-// would burn in between are batch-accounted by Picos.skipTo using the
-// recorded stall kinds.
+// progress on its own: a release on the finish engine, a registration
+// on the new-dependence engine, or an armed retry waiting for the
+// engine to free. A stalled head and a parked sidetrack dependence are
+// otherwise excluded — their retries cannot succeed until a release (an
+// event in its own right) frees space, and the stall cycles they would
+// burn in between are charged by chargeStall using the recorded stall
+// kinds.
 func (u *dctUnit) nextEvent() (uint64, bool) {
 	next, ok := uint64(0), false
 	if at, qok := u.finQ.headAt(); qok {
@@ -446,24 +477,8 @@ func (u *dctUnit) nextEvent() (uint64, bool) {
 			next, ok = c, true
 		}
 	}
-	if u.hasParked && u.parkedRetryAt > 0 {
-		if !ok || u.parkedRetryAt < next {
-			next, ok = u.parkedRetryAt, true
-		}
+	if u.retry && (!ok || u.busyUntil < next) {
+		next, ok = u.busyUntil, true
 	}
 	return next, ok
-}
-
-// active reports pending work. A stalled head or a parked dependence
-// with nothing else going on does not count as active: only an external
-// finish can unblock either.
-func (u *dctUnit) active(now uint64) bool {
-	if u.busyUntil > now || u.busyUntilFin > now || !u.finQ.empty() {
-		return true
-	}
-	if u.newDepQ.empty() {
-		return false
-	}
-	// A blocked head only unblocks via external finish notifications.
-	return !u.headStalled
 }

@@ -134,31 +134,24 @@ func (m *depMemory) index(addr uint64) int {
 	return idx
 }
 
-// lookup performs the DM compare operation: it returns the entry holding
-// addr if present.
-func (m *depMemory) lookup(addr uint64) (dmRef, bool) {
+// probe performs the DM compare operation and the free-way search in
+// one scan of addr's set. It returns the way holding addr (hit), or else
+// the first free way with room true — way 0 has the highest priority, as
+// in Figure 4's pseudo code. room is false on a miss in a full set: a DM
+// conflict, the central performance hazard of Section V-A.
+func (m *depMemory) probe(addr uint64) (ref dmRef, hit, room bool) {
 	s := m.index(addr)
-	for w := 0; w < m.ways; w++ {
-		if m.sets[s][w].valid && m.sets[s][w].tag == addr {
-			return dmRef{s, w}, true
+	set := m.sets[s]
+	for w := range set {
+		if !set[w].valid {
+			if !room {
+				ref, room = dmRef{s, w}, true
+			}
+		} else if set[w].tag == addr {
+			return dmRef{s, w}, true, false
 		}
 	}
-	return dmRef{}, false
-}
-
-// insert claims a free way for addr. It fails when the set is full — a
-// DM conflict, the central performance hazard of Section V-A. Way 0 has
-// the highest priority, as in Figure 4's pseudo code.
-func (m *depMemory) insert(addr uint64, head uint16, input bool) (dmRef, bool) {
-	s := m.index(addr)
-	for w := 0; w < m.ways; w++ {
-		e := &m.sets[s][w]
-		if !e.valid {
-			*e = dmEntry{valid: true, input: input, tag: addr, head: head, tail: head, count: 1}
-			return dmRef{s, w}, true
-		}
-	}
-	return dmRef{}, false
+	return ref, false, room
 }
 
 // at returns the entry for a ref.

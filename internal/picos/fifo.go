@@ -24,12 +24,6 @@ func (f *regFIFO[T]) push(v T, at uint64) {
 	}
 }
 
-// ready reports whether an element is poppable at cycle now.
-func (f *regFIFO[T]) ready(now uint64) bool {
-	head, ok := f.q.Peek()
-	return ok && head.at <= now
-}
-
 // pop removes and returns the head if it is visible at cycle now.
 func (f *regFIFO[T]) pop(now uint64) (T, bool) {
 	head, ok := f.q.Peek()

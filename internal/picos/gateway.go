@@ -37,8 +37,13 @@ type gateway struct {
 	busy         uint64
 	blocked      bool   // admission-blocked on the head of newQ
 	blockedAt    uint64 // cycle the current blocked stretch began
-	need         []int  // admit scratch: per-DCT credit demand
-	hid          int32  // horizon-heap slot
+	// retry is armed while blocked by a release that can make the head
+	// admissible (a returned credit, a freed TM slot) and cleared by the
+	// next step. Units step in a fixed order and the GW steps last, so a
+	// release earlier in the cycle is retried within that same cycle.
+	retry bool
+	need  []int // admit scratch: per-DCT credit demand
+	hid   int32 // horizon key slot
 }
 
 func newGateway(p *Picos) *gateway {
@@ -73,22 +78,36 @@ func (g *gateway) reset() {
 	g.finQ.reset()
 	g.rrTRS = 0
 	g.busyUntil, g.busyUntilFin, g.busy = 0, 0, 0
-	g.blocked = false
+	g.blocked, g.retry = false, false
 	g.blockedAt = 0
 }
 
 // returnCredit is called by a DCT when it has processed one release.
-func (g *gateway) returnCredit(dct uint8) { g.vmCredits[dct]++ }
+func (g *gateway) returnCredit(dct uint8) {
+	g.vmCredits[dct]++
+	g.armRetry()
+}
+
+// armRetry arms a blocked head's admission retry after a release.
+func (g *gateway) armRetry() {
+	if g.blocked {
+		//lint:ignore dirtyhorizon the flag is read by stepDue directly; the key of a blocked head does not move
+		g.retry = true
+		g.p.arms++
+	}
+}
 
 func (g *gateway) step(now uint64) {
 	p := g.p
 	// Finished-task engine: drains completions independently of the
 	// new-task path so retiring work never throttles admission.
+	drained := false
 	for g.busyUntilFin <= now {
 		h, ok := g.finQ.pop(now)
 		if !ok {
 			break
 		}
+		drained = true
 		done := now + g.timing.GWFinTask
 		g.busyUntilFin = done
 		g.busy += g.timing.GWFinTask
@@ -97,6 +116,9 @@ func (g *gateway) step(now uint64) {
 		t := p.trs[h.TRS]
 		t.finTaskQ.push(finishedTaskPkt{slot: h.Slot}, done+g.timing.GWFinPipe)
 		p.markDirty(t.hid)
+	}
+	if g.busyUntil <= now {
+		g.retry = false
 	}
 	for g.busyUntil <= now {
 		t, ok := g.newQ.peek(now)
@@ -124,6 +146,8 @@ func (g *gateway) step(now uint64) {
 				g.blocked = true
 				g.blockedAt = now
 				p.markDirty(g.hid)
+			} else if !drained {
+				p.staleRetries++
 			}
 			p.stats.GWBlockedCycles++
 			g.busyUntil = now + 1
@@ -235,8 +259,9 @@ func (g *gateway) admit(deps []trace.Dep) (uint8, uint16, bool) {
 // nextEvent returns the earliest cycle at which the GW can make progress
 // on its own: drain a finished task or take the head of the new-task
 // queue. A blocked head is excluded — only an external finish (arriving
-// through some other unit's event) can unblock it, and the per-cycle
-// retries it would burn in between are batch-accounted by Picos.skipTo.
+// through some other unit's event) can unblock it, by arming the retry
+// stepDue reads, and the per-cycle retries it would burn in between are
+// charged by stepDue and Picos.skipTo.
 func (g *gateway) nextEvent() (uint64, bool) {
 	next, ok := uint64(0), false
 	if at, qok := g.finQ.headAt(); qok {
@@ -256,21 +281,4 @@ func (g *gateway) nextEvent() (uint64, bool) {
 		}
 	}
 	return next, ok
-}
-
-// active: the GW has work it can still make progress on by itself.
-func (g *gateway) active(now uint64) bool {
-	if g.busyUntil > now || g.busyUntilFin > now || !g.finQ.empty() {
-		return true
-	}
-	if g.newQ.empty() {
-		return false
-	}
-	// A blocked head only unblocks via external finish notifications —
-	// unless degrade recovery is armed, in which case the refusal pop
-	// at the window deadline is progress the GW makes by itself.
-	if f := g.p.cfg.Faults; f != nil && f.Degrade > 0 {
-		return true
-	}
-	return !g.blocked
 }

@@ -55,30 +55,43 @@ func TestDepMemoryIndexing(t *testing.T) {
 
 func TestDepMemoryInsertLookupFree(t *testing.T) {
 	m := newDepMemory(DM8Way, dmSets)
+	insert := func(addr uint64, head uint16, input bool) (dmRef, bool) {
+		ref, hit, room := m.probe(addr)
+		if hit || !room {
+			return ref, false
+		}
+		*m.at(ref) = dmEntry{valid: true, input: input, tag: addr, head: head, tail: head, count: 1}
+		return ref, true
+	}
 	// Fill one set with 8 aligned addresses: stride 256 keeps the
 	// word-address index bits [7:2] identical.
 	refs := make([]dmRef, 8)
 	for i := 0; i < 8; i++ {
 		addr := uint64(0x1000 + i*256)
-		ref, ok := m.insert(addr, uint16(i), false)
+		ref, ok := insert(addr, uint16(i), false)
 		if !ok {
 			t.Fatalf("insert %d rejected before set full", i)
 		}
 		refs[i] = ref
 	}
-	if _, ok := m.insert(0x1000+8*256, 8, false); ok {
+	if _, ok := insert(0x1000+8*256, 8, false); ok {
 		t.Fatal("9th insert into a full 8-way set succeeded")
 	}
 	// Lookup finds entries; priorities: way 0 first.
-	if ref, ok := m.lookup(0x1000); !ok || ref.way != 0 {
-		t.Fatalf("lookup = %+v, %v", ref, ok)
+	if ref, hit, _ := m.probe(0x1000); !hit || ref.way != 0 {
+		t.Fatalf("probe = %+v, %v", ref, hit)
 	}
 	if m.live() != 8 {
 		t.Fatalf("live = %d", m.live())
 	}
-	// Free way 3 and reinsert: must land in way 3 (first free way).
+	// Free ways 3 and 5: a probe for a present address behind a free way
+	// still hits it, and a reinsert lands in way 3 (first free way).
 	m.free(refs[3])
-	ref, ok := m.insert(0x9000, 99, true)
+	m.free(refs[5])
+	if ref, hit, _ := m.probe(0x1000 + 7*256); !hit || ref.way != 7 {
+		t.Fatalf("probe behind free ways = %+v, %v; want hit in way 7", ref, hit)
+	}
+	ref, ok := insert(0x9000, 99, true)
 	if !ok || ref.way != 3 {
 		t.Fatalf("reinsert = %+v, %v; want way 3", ref, ok)
 	}

@@ -138,7 +138,7 @@ func TestSidetrackResetScrubs(t *testing.T) {
 	if err := p.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if p.dct[0].hasParked || p.dct[0].parkedRetryAt != 0 {
+	if p.dct[0].hasParked || p.dct[0].retry {
 		t.Error("Reset leaked sidetrack state")
 	}
 	if p.ReadyCount() != 0 || p.InFlight() != 0 {

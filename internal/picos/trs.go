@@ -17,7 +17,7 @@ type trsUnit struct {
 
 	busyUntil uint64
 	busy      uint64 // accumulated busy cycles (stats)
-	hid       int32  // horizon-heap slot
+	hid       int32  // horizon key slot
 }
 
 func newTRS(id uint8, p *Picos) *trsUnit {
@@ -176,6 +176,7 @@ func (u *trsUnit) handleFinishedTask(pkt finishedTaskPkt, now uint64) {
 	// still references this handle belongs to packets already ordered
 	// ahead of any reuse).
 	u.tm.release(pkt.slot)
+	u.p.gw.armRetry()
 	u.p.stats.TasksCompleted++
 }
 
@@ -197,10 +198,4 @@ func (u *trsUnit) nextEvent() (uint64, bool) {
 	consider(u.wakeQ.headAt())
 	consider(u.finTaskQ.headAt())
 	return next, ok
-}
-
-// active reports whether the unit has pending input or is mid-operation.
-func (u *trsUnit) active(now uint64) bool {
-	return u.busyUntil > now ||
-		!u.newQ.empty() || !u.statusQ.empty() || !u.wakeQ.empty() || !u.finTaskQ.empty()
 }

@@ -36,7 +36,7 @@ type tsUnit struct {
 
 	busyUntil uint64
 	busy      uint64
-	hid       int32 // horizon-heap slot
+	hid       int32 // horizon key slot
 }
 
 func newTS(p *Picos) *tsUnit {
@@ -118,8 +118,4 @@ func (u *tsUnit) nextReadyAt() (uint64, bool) {
 		return it.at, true
 	}
 	return 0, false
-}
-
-func (u *tsUnit) active(now uint64) bool {
-	return u.busyUntil > now || !u.inQ.empty()
 }

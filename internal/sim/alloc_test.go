@@ -18,7 +18,7 @@ import (
 // the Result — the start/finish/order schedule arrays, the Result and
 // stats values, and the per-unit busy snapshot — roughly ten
 // allocations; everything else (accelerator memories, FIFOs, worker
-// heaps, the horizon heap) is pool-reused. Headroom covers pool misses
+// heaps, the horizon keys) is pool-reused. Headroom covers pool misses
 // when a GC lands mid-measurement.
 const maxWarmRunTraceAllocs = 24
 
